@@ -12,8 +12,8 @@ then runs whole passes of its workload in a closed loop for about
 ``--seconds`` seconds.
 
 ``--trace 0`` reports the end-to-end metrics with tracing off.
-``--trace 1`` runs a warm-up pass, a traced pass and an untraced pass
-and reports the per-layer metrics, taken from spans the benchmark records around its
+``--trace 1`` runs a traced pass and an untraced pass and reports the
+per-layer metrics, taken from spans the benchmark records around its
 calls into each layer, from Spark's event log and from the session's
 StreamingQueryListener, plus the tracing overhead.
 
@@ -89,16 +89,11 @@ PER_LAYER = {
 }
 
 
-def _fail(msg: str, code: int = 2):
-    print(f"layerbench: {msg}", file=sys.stderr)
-    sys.exit(code)
-
-
 def _prepare_env(work: Path) -> str:
     """Put the program on the path and keep all of Spark's files in ``work``."""
     src = ROOT / "src"
     if not (src / "repro" / "__init__.py").is_file():
-        _fail(f"no program sources under {src}; run from the root of a full checkout")
+        sys.exit(f"layerbench: no program sources under {src}; run from the root of a full checkout")
     sys.path[:0] = [str(src), str(ROOT)]
     os.environ["PYTHONPATH"] = os.pathsep.join([str(src), str(ROOT)])
     tmp, local = work / "tmp", work / "spark-local"
@@ -106,6 +101,8 @@ def _prepare_env(work: Path) -> str:
     local.mkdir(parents=True)
     os.environ["TMPDIR"] = str(tmp)
     os.environ["SPARK_LOCAL_DIRS"] = str(local)
+    # No hsperfdata files: every JVM would write them under the system /tmp.
+    os.environ["JAVA_TOOL_OPTIONS"] = "-XX:-UsePerfData"
     master = f"local[{min(4, len(os.sched_getaffinity(0)))}]"
     # A heap that starts at its full size: a growing heap makes each pass
     # faster than the one before it (measured 163, 194, 227 trials/s over
@@ -347,10 +344,10 @@ def main(argv=None) -> int:
                 wl.setup()
             setup_s.append(time.perf_counter() - t0)
         app_id = bench.spark.sparkContext.applicationId
+        for i in range(wl.warm_passes):
+            passes.append(wl.run_pass(f"warm{i}"))
         if args.trace:
-            # The first pass after set-up runs slower than later ones, so it
-            # only warms up; the overhead compares the two passes after it.
-            for tag in ("warm", "traced", "untraced"):
+            for tag in ("traced", "untraced"):
                 bench.tracer = tracer if tag == "traced" else NullTracer()
                 t0 = time.perf_counter()
                 if tag == "traced":
@@ -362,8 +359,6 @@ def main(argv=None) -> int:
                 pass_s[tag] = time.perf_counter() - t0
             overhead_s = pass_s["traced"] - pass_s["untraced"]
         else:
-            for i in range(wl.warm_passes):
-                passes.append(wl.run_pass(f"warm{i}"))
             start = time.perf_counter()
             while True:
                 t0 = time.perf_counter()
