@@ -2,7 +2,7 @@
 
 Submodules follow the paper's decomposition:
 
-- ``sampling``   — uniform / reservoir draws and budget rounding,
+- ``sampling``   — uniform, per-stratum and reservoir draws, budget rounding,
 - ``stratify``   — quantile strata and the EWMA used for dynamic strata,
 - ``allocation`` — Proposition 1's optimal allocation and its estimate,
 - ``estimator``  — per-stratum stats, ``GetPrediction`` and bootstrap CIs,

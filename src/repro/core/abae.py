@@ -18,13 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from .allocation import estimated_allocation, stratum_stats
-from .estimator import StratumSample, get_prediction, segment_estimate
+from .estimator import get_prediction, sample_cells, segment_estimate
 from .inquest import segment_slices
-from .sampling import (
-    cap_and_redistribute,
-    largest_remainder_round,
-    uniform_without_replacement,
-)
+from .sampling import cap_and_redistribute, draw_by_stratum, largest_remainder_round
 from .stratify import assign_strata, quantile_boundaries
 
 __all__ = ["abae_trial"]
@@ -55,13 +51,8 @@ def abae_trial(
     pilot_budget = max(k, int(round(pilot_frac * total_budget)))
     pilot_each = largest_remainder_round(np.ones(k), pilot_budget)
     pilot_each = cap_and_redistribute(pilot_each, d_sizes)
-    pilot_idx_by_stratum = []
-    for k_ in range(k):
-        members = np.flatnonzero(strata == k_)
-        pilot_idx_by_stratum.append(
-            uniform_without_replacement(rng, members, pilot_each[k_])
-        )
-    pilot_idx = np.concatenate(pilot_idx_by_stratum)
+    pilot = draw_by_stratum(rng, strata, pilot_each)
+    pilot_idx = np.concatenate(pilot)
 
     # Allocation estimate from the pilot (optimal |D_k| sqrt(p_k) sigma_k
     # rule); uniform fallback when the pilot is uninformative.
@@ -70,43 +61,30 @@ def abae_trial(
     if alloc is None:
         alloc = np.full(k, 1.0 / k)
 
-    # Stage 2 — allocate the remainder, excluding already-drawn records.
+    # Stage 2 — allocate the remainder; pilot records are relabelled out
+    # of 0..k-1 so they cannot be drawn again.
     stage2_budget = max(0, total_budget - int(pilot_each.sum()))
-    remaining = d_sizes - pilot_each
     stage2 = cap_and_redistribute(
-        largest_remainder_round(alloc, stage2_budget), remaining
+        largest_remainder_round(alloc, stage2_budget), d_sizes - pilot_each
     )
-    all_idx_by_stratum = []
-    for k_ in range(k):
-        members = np.flatnonzero(strata == k_)
-        unused = np.setdiff1d(members, pilot_idx_by_stratum[k_], assume_unique=True)
-        drawn = uniform_without_replacement(rng, unused, stage2[k_])
-        # Sample reuse: the final estimator sees pilot + stage-2 samples.
-        all_idx_by_stratum.append(np.concatenate([pilot_idx_by_stratum[k_], drawn]))
-
-    # Full-query estimate from global strata.
-    global_cells = [
-        StratumSample(f=f[ix], pred=pred[ix], d_size=int(d_sizes[k_]))
-        for k_, ix in enumerate(all_idx_by_stratum)
+    unused = strata.copy()
+    unused[pilot_idx] = k
+    # Sample reuse: the final estimator sees pilot + stage-2 samples.
+    samples = [
+        np.concatenate([p, drawn])
+        for p, drawn in zip(pilot, draw_by_stratum(rng, unused, stage2))
     ]
 
-    # Per-segment estimates: restrict the sample to each segment.
-    slices = segment_slices(len(f), seg_len)
+    # Full-query estimate from global strata; per-segment estimates
+    # restrict the sample to each segment.
     seg_estimates = []
-    for sl in slices:
-        cells_t = []
-        for k_, ix in enumerate(all_idx_by_stratum):
-            in_seg = ix[(ix >= sl.start) & (ix < sl.stop)]
-            members_in_seg = int(
-                np.count_nonzero(strata[sl.start : sl.stop] == k_)
-            )
-            cells_t.append(
-                StratumSample(f=f[in_seg], pred=pred[in_seg], d_size=members_in_seg)
-            )
-        seg_estimates.append(segment_estimate(cells_t))
+    for sl in segment_slices(len(f), seg_len):
+        in_seg = [ix[(ix >= sl.start) & (ix < sl.stop)] for ix in samples]
+        d_sizes_t = np.bincount(strata[sl], minlength=k)
+        seg_estimates.append(segment_estimate(sample_cells(f, pred, in_seg, d_sizes_t)))
 
     return {
         "seg_estimates": np.asarray(seg_estimates),
-        "full_estimate": get_prediction(global_cells),
-        "oracle_calls": int(sum(len(ix) for ix in all_idx_by_stratum)),
+        "full_estimate": get_prediction(sample_cells(f, pred, samples, d_sizes)),
+        "oracle_calls": int(sum(len(ix) for ix in samples)),
     }

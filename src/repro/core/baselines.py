@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .estimator import StratumSample, get_prediction, segment_estimate
+from .estimator import StratumSample, get_prediction, sample_cells, segment_estimate
 from .inquest import segment_slices
-from .sampling import uniform_without_replacement
-from .stratify import FIXED_BOUNDARIES, assign_strata
+from .sampling import draw_by_stratum, uniform_without_replacement
+from .stratify import assign_strata, fixed_boundaries
 
 __all__ = ["uniform_trial", "fixed_stratified_trial"]
 
@@ -75,13 +75,12 @@ def fixed_stratified_trial(
     f = np.asarray(f, dtype=np.float64)
     pred = np.asarray(pred, dtype=bool)
     proxy = np.asarray(proxy, dtype=np.float64)
-    boundaries = (
-        FIXED_BOUNDARIES if k == 3 else np.arange(1, k, dtype=np.float64) / k
-    )
+    boundaries = fixed_boundaries(k)
     slices = segment_slices(len(f), seg_len)
     n_per_segment = max(1, total_budget // len(slices))
-    # Fixed even split; remainder goes to the first strata so the full
-    # per-segment budget is spent.
+    # Fixed even split; remainder goes to the first strata.  A stratum
+    # smaller than its share is fully sampled and the shortfall is not
+    # redistributed, so the baseline can spend less than NT.
     per_stratum = np.full(k, n_per_segment // k, dtype=np.int64)
     per_stratum[: n_per_segment % k] += 1
 
@@ -89,16 +88,11 @@ def fixed_stratified_trial(
     for t, sl in enumerate(slices, start=1):
         rng = np.random.default_rng([seed, t])
         strata = assign_strata(proxy[sl], boundaries)
-        cells_t = []
-        for k_ in range(k):
-            members = np.flatnonzero(strata == k_)
-            chosen = uniform_without_replacement(rng, members, per_stratum[k_])
-            cells_t.append(
-                StratumSample(
-                    f=f[sl][chosen], pred=pred[sl][chosen], d_size=len(members)
-                )
-            )
-            oracle_calls += len(chosen)
+        parts = draw_by_stratum(rng, strata, per_stratum)
+        cells_t = sample_cells(
+            f[sl], pred[sl], parts, np.bincount(strata, minlength=k)
+        )
+        oracle_calls += sum(len(p) for p in parts)
         seg_estimates.append(segment_estimate(cells_t))
         cells.extend(cells_t)
     return {

@@ -13,6 +13,7 @@ import numpy as np
 
 __all__ = [
     "StratumSample",
+    "sample_cells",
     "segment_estimate",
     "get_prediction",
     "bootstrap_ci",
@@ -51,6 +52,20 @@ class StratumSample:
         if self.n_pos == 0:
             return 0.0
         return float(np.asarray(self.f, dtype=np.float64)[np.asarray(self.pred, dtype=bool)].mean())
+
+
+def sample_cells(
+    f: np.ndarray, pred: np.ndarray, parts: list[np.ndarray], d_sizes: np.ndarray
+) -> list[StratumSample]:
+    """One :class:`StratumSample` per stratum from its drawn indices ``parts``.
+
+    ``f``/``pred`` are read only at the drawn indices; ``d_sizes[k]`` is
+    stratum ``k``'s record count ``|D_tk|``.
+    """
+    return [
+        StratumSample(f=f[ix], pred=pred[ix], d_size=int(n))
+        for ix, n in zip(parts, d_sizes)
+    ]
 
 
 def segment_estimate(cells: list[StratumSample]) -> float:

@@ -29,13 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import estimated_allocation, mix_defensive, stratum_stats
-from .estimator import StratumSample, get_prediction, segment_estimate
+from .estimator import StratumSample, get_prediction, sample_cells, segment_estimate
 from .sampling import (
     cap_and_redistribute,
+    draw_by_stratum,
     largest_remainder_round,
     uniform_without_replacement,
 )
-from .stratify import FIXED_BOUNDARIES, Ewma, assign_strata, quantile_boundaries
+from .stratify import Ewma, assign_strata, fixed_boundaries, quantile_boundaries
 
 __all__ = ["InQuestConfig", "InQuestState", "inquest_trial", "segment_slices"]
 
@@ -72,7 +73,6 @@ class InQuestState:
         self._boundary_ewma = Ewma(config.alpha)
         self._alloc_ewma = Ewma(config.alpha)
         self.cells: list[StratumSample] = []
-        self.last_oracle_calls = 0
 
     # -- sampling ----------------------------------------------------------
     def _segment_rng(self, t: int) -> np.random.Generator:
@@ -83,9 +83,7 @@ class InQuestState:
     def _sampling_boundaries(self) -> np.ndarray:
         if self.cfg.dynamic_strata:
             return np.asarray(self._boundary_ewma.value)
-        return FIXED_BOUNDARIES[: self.cfg.k - 1] if self.cfg.k == 3 else np.arange(
-            1, self.cfg.k
-        ) / self.cfg.k
+        return fixed_boundaries(self.cfg.k)
 
     def _alloc_fractions(self) -> np.ndarray:
         k = self.cfg.k
@@ -103,8 +101,8 @@ class InQuestState:
         """Consume one segment; return its estimate and the running estimate.
 
         ``f``/``pred`` are the *oracle* outputs but are only read at the
-        sampled indices (``last_oracle_calls`` counts them); ``proxy`` is
-        read everywhere, matching the paper's cost model.
+        sampled indices (``oracle_calls`` counts them); ``proxy`` is read
+        everywhere, matching the paper's cost model.
         """
         t = self.t + 1
         cfg = self.cfg
@@ -112,50 +110,36 @@ class InQuestState:
         f = np.asarray(f, dtype=np.float64)
         pred = np.asarray(pred, dtype=bool)
         proxy = np.asarray(proxy, dtype=np.float64)
-        n_records = len(f)
+        seg_quantiles = quantile_boundaries(proxy, cfg.k)
 
-        if t == 1:
-            # Pilot: uniform sample of the whole per-segment budget, then
-            # grouped under the boundaries segment 2 will sample with.
-            idx = uniform_without_replacement(
-                rng, np.arange(n_records), cfg.n_per_segment
-            )
-            boundaries = (
-                quantile_boundaries(proxy, cfg.k)
-                if cfg.dynamic_strata
-                else self._sampling_boundaries()
-            )
-            sample_strata = assign_strata(proxy[idx], boundaries)
-            budgets = np.bincount(sample_strata, minlength=cfg.k)
+        # The pilot is grouped under the boundaries segment 2 will sample with.
+        if t == 1 and cfg.dynamic_strata:
+            boundaries = seg_quantiles
         else:
             boundaries = self._sampling_boundaries()
-            fractions = self._alloc_fractions()
-            strata_all = assign_strata(proxy, boundaries)
-            d_sizes_all = np.bincount(strata_all, minlength=cfg.k)
-            budgets = cap_and_redistribute(
-                largest_remainder_round(fractions, cfg.n_per_segment), d_sizes_all
-            )
-            parts = []
-            for k_ in range(cfg.k):
-                members = np.flatnonzero(strata_all == k_)
-                parts.append(uniform_without_replacement(rng, members, budgets[k_]))
-            idx = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            sample_strata = np.repeat(np.arange(cfg.k), [len(p) for p in parts])
+        strata = assign_strata(proxy, boundaries)
+        d_sizes = np.bincount(strata, minlength=cfg.k)
 
-        strata_all = assign_strata(proxy, boundaries)
-        d_sizes = np.bincount(strata_all, minlength=cfg.k)
-        cells_t = [
-            StratumSample(
-                f=f[idx[sample_strata == k_]],
-                pred=pred[idx[sample_strata == k_]],
-                d_size=int(d_sizes[k_]),
+        if t == 1:
+            # Pilot: uniform sample of the whole per-segment budget.
+            pilot = uniform_without_replacement(
+                rng, np.arange(len(proxy)), cfg.n_per_segment
             )
-            for k_ in range(cfg.k)
-        ]
-        self.last_oracle_calls = len(idx)
+            pilot_strata = strata[pilot]
+            budgets = np.bincount(pilot_strata, minlength=cfg.k)
+            parts = [pilot[pilot_strata == k_] for k_ in range(cfg.k)]
+        else:
+            budgets = cap_and_redistribute(
+                largest_remainder_round(self._alloc_fractions(), cfg.n_per_segment),
+                d_sizes,
+            )
+            parts = draw_by_stratum(rng, strata, budgets)
+        idx = np.concatenate(parts)
+        sample_strata = np.repeat(np.arange(cfg.k), [len(p) for p in parts])
+        cells_t = sample_cells(f, pred, parts, d_sizes)
 
         # -- post-segment updates (used from segment t + 1 on) -------------
-        self._boundary_ewma.update(quantile_boundaries(proxy, cfg.k))
+        self._boundary_ewma.update(seg_quantiles)
         stats = stratum_stats(f[idx], pred[idx], sample_strata, cfg.k)
         a_t = estimated_allocation(d_sizes, stats["p_hat"], stats["sigma_hat"])
         if a_t is not None:
@@ -167,7 +151,7 @@ class InQuestState:
             "segment": t,
             "estimate": segment_estimate(cells_t),
             "running_estimate": get_prediction(self.cells),
-            "oracle_calls": self.last_oracle_calls,
+            "oracle_calls": len(idx),
             "budgets": budgets,
             "boundaries": np.asarray(boundaries, dtype=np.float64),
         }
@@ -223,5 +207,4 @@ def inquest_trial(
         "seg_estimates": np.asarray(seg_estimates),
         "full_estimate": get_prediction(state.cells),
         "oracle_calls": oracle_calls,
-        "state": state,
     }

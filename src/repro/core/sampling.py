@@ -4,9 +4,11 @@ The paper draws samples from each (segment, stratum) with *reservoir
 sampling* so the oracle is applied uniformly in time without knowing the
 stratum's size in advance.  For a fully materialised stratum the output
 law of reservoir sampling is exactly a uniform draw without replacement,
-so the offline kernels use :func:`uniform_without_replacement`; a true
-one-pass reservoir (:func:`reservoir_sample`) is provided for the
-streaming state machine and for the distribution-equality test.
+so every kernel, the streaming state machine included, draws with
+:func:`uniform_without_replacement` (per stratum, through
+:func:`draw_by_stratum`).  The one-pass reservoir
+(:func:`reservoir_sample`) is used only by the test that checks the two
+output laws are equal.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "uniform_without_replacement",
+    "draw_by_stratum",
     "reservoir_sample",
     "largest_remainder_round",
     "cap_and_redistribute",
@@ -32,6 +35,21 @@ def uniform_without_replacement(
     if size <= 0:
         return population[:0].copy()
     return rng.choice(population, size=size, replace=False)
+
+
+def draw_by_stratum(
+    rng: np.random.Generator, strata: np.ndarray, budgets: np.ndarray
+) -> list[np.ndarray]:
+    """Per-stratum uniform draws: ``budgets[k]`` record indices with label ``k``.
+
+    Returns one index array per stratum, in stratum order, each capped at
+    the stratum's size.  Records labelled outside ``0..len(budgets)-1``
+    are never drawn, so relabelling already-sampled records excludes them.
+    """
+    return [
+        uniform_without_replacement(rng, np.flatnonzero(strata == k), budget)
+        for k, budget in enumerate(budgets)
+    ]
 
 
 def reservoir_sample(

@@ -17,11 +17,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["quantile_boundaries", "assign_strata", "FIXED_BOUNDARIES", "Ewma"]
+__all__ = [
+    "quantile_boundaries",
+    "assign_strata",
+    "fixed_boundaries",
+    "FIXED_BOUNDARIES",
+    "Ewma",
+]
+
+
+def fixed_boundaries(k: int) -> np.ndarray:
+    """Interior boundaries of ``k`` equal-width strata over proxy ``[0, 1]``."""
+    return np.arange(1, k) / k
+
 
 #: The fixed stratification used by the stratified-sampling baseline
 #: (Section 5.1): k1=[0,0.33], k2=[0.33,0.67], k3=[0.67,1.0].
-FIXED_BOUNDARIES = np.array([1 / 3, 2 / 3])
+FIXED_BOUNDARIES = fixed_boundaries(3)
 
 
 def quantile_boundaries(proxy: np.ndarray, k: int) -> np.ndarray:

@@ -9,9 +9,9 @@ ready for the Spark SQL metric aggregations in ``repro.sparkops.metrics``.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
-import json
 
 import numpy as np
 import pandas as pd
@@ -44,11 +44,13 @@ RESULT_SCHEMA = (
 )
 
 
-def _full_truth(stream: StreamData, *, predicate: bool) -> float:
-    f, m = stream.statistic, stream.pred
-    if predicate:
-        return float(f[m].mean()) if m.any() else 0.0
-    return float(f.mean())
+#: The registry entries that take ``run_trials``' ``params``: InQuest and
+#: its lesion variants (``inquest_trial`` or a partial of it).
+_TAKES_PARAMS = frozenset(
+    name
+    for name, kernel in ALGORITHMS.items()
+    if getattr(kernel, "func", kernel) is inquest_trial
+)
 
 
 def run_trials(
@@ -65,50 +67,49 @@ def run_trials(
 ) -> DataFrame:
     """Run the full trial grid on the cluster.
 
-    ``params`` are extra keyword arguments forwarded to every kernel that
-    accepts them (e.g. ``{"alpha": 0.5}`` for the sensitivity sweep —
-    only applied to InQuest variants).  Output rows carry ``segment``
-    in ``[0, T)`` for per-segment estimates and ``segment = -1`` for the
-    full-query estimate, each next to its ground truth.
+    ``params`` are extra keyword arguments forwarded to the InQuest
+    variants only (e.g. ``{"alpha": 0.5}`` for the sensitivity sweep); a
+    ``seg_len`` entry overrides their segment length.  Output rows carry
+    ``segment`` in ``[0, T)`` for per-segment estimates and ``segment =
+    -1`` for the full-query estimate, each next to its ground truth.
     """
     unknown = set(algorithms) - set(ALGORITHMS)
     if unknown:
         raise ValueError(f"unknown algorithms: {sorted(unknown)}")
+    extra = dict(params or {})
+    seg_len_override = extra.pop("seg_len", None)
+    kwargs = {a: extra if a in _TAKES_PARAMS else {} for a in algorithms}
+    seg_lens = {
+        (name, a): int(seg_len_override)
+        if seg_len_override is not None and a in _TAKES_PARAMS
+        else s.seg_len
+        for name, s in streams.items()
+        for a in algorithms
+    }
+    # Truths per (mode, seg_len); seg_len = n_records gives the full query's.
     payload = {
         name: {
             "statistic": s.statistic,
             "pred": s.pred,
             "proxy": s.proxy,
-            "seg_len": s.seg_len,
             "truth": {
-                mode: segment_truths(s, predicate=(mode == "pred"))
+                (mode, seg_len): segment_truths(
+                    dataclasses.replace(s, seg_len=seg_len),
+                    predicate=(mode == "pred"),
+                )
                 for mode in modes
-            },
-            "full_truth": {
-                mode: _full_truth(s, predicate=(mode == "pred")) for mode in modes
+                for seg_len in {s.n_records, *(seg_lens[name, a] for a in algorithms)}
             },
         }
         for name, s in streams.items()
     }
     bc = spark.sparkContext.broadcast(payload)
-    params_json = json.dumps(params or {})
 
     if n_tasks is None:
         n_tasks = spark.sparkContext.defaultParallelism * 4
     grid = pd.DataFrame(
-        [
-            {
-                "dataset": d,
-                "algo": a,
-                "mode": m,
-                "budget": b,
-                "trial": t,
-                "params": params_json,
-            }
-            for d, a, m, b, t in itertools.product(
-                streams, algorithms, modes, budgets, range(n_trials)
-            )
-        ]
+        list(itertools.product(streams, algorithms, modes, budgets, range(n_trials))),
+        columns=["dataset", "algo", "mode", "budget", "trial"],
     )
     # Round-robin task ids spread the grid evenly over the executors.
     grid["task"] = np.arange(len(grid)) % n_tasks
@@ -119,51 +120,29 @@ def run_trials(
         out: list[tuple] = []
         for row in pdf.itertuples(index=False):
             d = data[row.dataset]
-            kernel = ALGORITHMS[row.algo]
-            extra = json.loads(row.params)
-            if extra and not row.algo.startswith(("inquest", "stratified_pilot")):
-                extra = {}  # alpha/K knobs only exist on InQuest variants
+            seg_len = seg_lens[row.dataset, row.algo]
             pred = (
                 d["pred"]
                 if row.mode == "pred"
                 else np.ones(len(d["pred"]), dtype=bool)
             )
-            seg_len = int(extra.pop("seg_len", d["seg_len"]))
-            res = kernel(
+            res = ALGORITHMS[row.algo](
                 d["statistic"],
                 pred,
                 d["proxy"],
                 seg_len=seg_len,
                 total_budget=int(row.budget),
                 seed=int(base_seed + row.trial),
-                **extra,
+                **kwargs[row.algo],
             )
-            truth = d["truth"][row.mode]
-            n_seg = len(res["seg_estimates"])
-            for t, est in enumerate(res["seg_estimates"]):
-                # Truth arrays are per canonical seg_len; a seg_len
-                # override (sensitivity sweep) recomputes truth inline.
-                if n_seg == len(truth) and seg_len == d["seg_len"]:
-                    tru = float(truth[t])
-                else:
-                    sl = slice(t * seg_len, (t + 1) * seg_len)
-                    fseg, mseg = d["statistic"][sl], pred[sl]
-                    tru = float(fseg[mseg].mean()) if mseg.any() else 0.0
-                out.append(
-                    (row.dataset, row.algo, row.mode, row.budget, row.trial, t, float(est), tru)
-                )
-            out.append(
-                (
-                    row.dataset,
-                    row.algo,
-                    row.mode,
-                    row.budget,
-                    row.trial,
-                    -1,
-                    float(res["full_estimate"]),
-                    d["full_truth"][row.mode],
-                )
+            key = (row.dataset, row.algo, row.mode, row.budget, row.trial)
+            truth = d["truth"][row.mode, seg_len]
+            full_truth = d["truth"][row.mode, len(pred)][0]
+            out.extend(
+                (*key, t, float(est), float(truth[t]))
+                for t, est in enumerate(res["seg_estimates"])
             )
+            out.append((*key, -1, float(res["full_estimate"]), float(full_truth)))
         return pd.DataFrame(
             out,
             columns=[

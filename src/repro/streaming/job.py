@@ -75,7 +75,9 @@ def run_streaming_inquest(
 
     Each returned dict is ``InQuestState.observe_segment``'s output plus
     the observed ``segment`` ids of the batch.  Raises if any micro-batch
-    spans more than one segment (would mean file/trigger misconfiguration).
+    spans more than one segment (would mean file/trigger misconfiguration),
+    and stops the query and raises :class:`TimeoutError` if it has not
+    finished within ``timeout_s`` rather than return a truncated result.
     """
     state = InQuestState(config, seed=seed)
     results: list[dict] = []
@@ -110,6 +112,13 @@ def run_streaming_inquest(
         )
         .start()
     )
-    query.awaitTermination(timeout_s)
-    query.stop()
+    try:
+        finished = query.awaitTermination(timeout_s)
+    finally:
+        query.stop()
+    if not finished:
+        raise TimeoutError(
+            f"streaming query did not finish within {timeout_s} s "
+            f"({len(results)} micro-batches processed)"
+        )
     return results

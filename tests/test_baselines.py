@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.baselines import fixed_stratified_trial, uniform_trial
 from repro.core.inquest import segment_slices
+from repro.core.stratify import FIXED_BOUNDARIES, assign_strata
 
 
 def toy_stream(n=10_000, seed=0, p=0.6):
@@ -67,6 +68,26 @@ class TestFixedStratifiedTrial:
         out = fixed_stratified_trial(f, pred, proxy, seg_len=1000, total_budget=300, seed=0)
         assert len(out["seg_estimates"]) == 5
         assert out["oracle_calls"] <= 300
+
+    def test_short_stratum_shortfall_not_redistributed(self):
+        # Proxy in [0, 0.68]: the top fixed stratum (> 2/3) holds ~2% of
+        # each segment, fewer records than its N/K share.  The baseline
+        # samples it fully and spends min(N/K, |D_tk|) per cell; it does
+        # not hand the shortfall to the other strata.
+        g = np.random.default_rng(3)
+        n, seg_len, budget = 6000, 2000, 1500
+        proxy = 0.68 * g.random(n)
+        f = g.random(n)
+        pred = np.ones(n, dtype=bool)
+        per_stratum = np.array([167, 167, 166])  # 500 per segment, N/K each
+        sizes = [
+            np.bincount(assign_strata(proxy[sl], FIXED_BOUNDARIES), minlength=3)
+            for sl in segment_slices(n, seg_len)
+        ]
+        assert all(d[2] < per_stratum[2] for d in sizes)
+        out = fixed_stratified_trial(f, pred, proxy, seg_len=seg_len, total_budget=budget, seed=0)
+        assert out["oracle_calls"] == sum(np.minimum(per_stratum, d).sum() for d in sizes)
+        assert out["oracle_calls"] < budget
 
     def test_even_allocation_when_strata_populated(self):
         # Uniform proxy: every fixed stratum holds ~1/3 of each segment,

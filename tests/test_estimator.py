@@ -6,6 +6,7 @@ from repro.core.estimator import (
     StratumSample,
     bootstrap_ci,
     get_prediction,
+    sample_cells,
     segment_estimate,
 )
 
@@ -151,3 +152,15 @@ class TestBootstrapCi:
             lo, hi = bootstrap_ci(r, cells, n_boot=200)
             hits += lo <= truth <= hi
         assert hits / trials >= 0.8
+
+
+class TestSampleCells:
+    def test_cells_read_drawn_indices(self):
+        f = np.arange(6, dtype=float)
+        pred = np.array([True, False, True, True, False, True])
+        cells = sample_cells(f, pred, [np.array([4, 0]), np.array([], dtype=int)], np.array([3, 2]))
+        assert len(cells) == 2
+        assert list(cells[0].f) == [4.0, 0.0]
+        assert list(cells[0].pred) == [False, True]
+        assert cells[0].d_size == 3 and isinstance(cells[0].d_size, int)
+        assert cells[1].n == 0 and cells[1].d_size == 2

@@ -215,3 +215,22 @@ class TestInQuestTrial:
         realized = out["budgets"] / out["budgets"].sum()
         target = (cfg.n1 / 3 + cfg.n2 * a_star) / cfg.n_per_segment
         assert np.max(np.abs(realized - target)) < 0.15
+
+
+def test_strata_assigned_once_per_segment(monkeypatch):
+    import repro.core.inquest as inquest
+
+    calls, assign = [], inquest.assign_strata
+
+    def counting(proxy, boundaries):
+        calls.append(len(proxy))
+        return assign(proxy, boundaries)
+
+    monkeypatch.setattr(inquest, "assign_strata", counting)
+    f, pred, proxy = toy_stream(5000)
+    for dyn_s in (True, False):
+        calls.clear()
+        inquest_trial(
+            f, pred, proxy, seg_len=1000, total_budget=250, seed=0, dynamic_strata=dyn_s
+        )
+        assert calls == [1000] * 5

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.sampling import (
     cap_and_redistribute,
+    draw_by_stratum,
     largest_remainder_round,
     reservoir_sample,
     uniform_without_replacement,
@@ -148,3 +149,23 @@ class TestCapAndRedistribute:
         assert np.all(out <= caps)
         assert np.all(out >= 0)
         assert out.sum() == min(budgets.sum(), caps.sum())
+
+
+class TestDrawByStratum:
+    def test_one_capped_draw_per_stratum(self):
+        strata = np.array([0, 1, 1, 2, 2, 2, 0, 1])
+        parts = draw_by_stratum(rng(), strata, np.array([1, 5, 2]))
+        assert [len(p) for p in parts] == [1, 3, 2]
+        for k, p in enumerate(parts):
+            assert np.all(strata[p] == k)
+            assert len(np.unique(p)) == len(p)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_out_of_range_labels_never_drawn(self, seed):
+        strata = np.repeat(np.arange(3), 10)
+        excluded = np.array([0, 1, 12, 25, 29])
+        strata[excluded] = 3
+        parts = draw_by_stratum(rng(seed), strata, np.array([10, 10, 10]))
+        drawn = np.concatenate(parts)
+        assert len(drawn) == 30 - len(excluded)
+        assert not set(drawn) & set(excluded)

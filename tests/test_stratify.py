@@ -8,6 +8,7 @@ from repro.core.stratify import (
     FIXED_BOUNDARIES,
     Ewma,
     assign_strata,
+    fixed_boundaries,
     quantile_boundaries,
 )
 
@@ -55,6 +56,12 @@ class TestAssignStrata:
 
     def test_fixed_boundaries_value(self):
         assert np.allclose(FIXED_BOUNDARIES, [1 / 3, 2 / 3])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_fixed_boundaries_equal_width(self, k):
+        b = fixed_boundaries(k)
+        assert len(b) == k - 1
+        assert np.allclose(np.diff(np.concatenate([[0.0], b, [1.0]])), 1 / k)
 
 
 class TestEwma:

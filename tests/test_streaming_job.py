@@ -86,3 +86,14 @@ class TestRunStreamingInquest:
 
     def test_oracle_calls_respect_budget(self, outputs):
         assert all(r["oracle_calls"] == 100 for r in outputs)
+
+
+def test_timeout_stops_query_and_raises(spark, stream, tmp_path):
+    # A timeout far below the query's run time must not return a
+    # truncated result list.
+    write_segment_files(stream, tmp_path)
+    with pytest.raises(TimeoutError, match="did not finish"):
+        run_streaming_inquest(
+            spark, tmp_path, config=InQuestConfig(n_per_segment=100), timeout_s=0.05
+        )
+    assert not spark.streams.active

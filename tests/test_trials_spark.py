@@ -1,4 +1,6 @@
 """Spark tests for the distributed Monte Carlo trial runner."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -120,3 +122,26 @@ class TestRunTrials:
             params={"seg_len": 2500},
         ).toPandas()
         assert res[res.segment >= 0]["segment"].max() == _N // 2500 - 1
+
+    def test_overrides_apply_only_to_inquest_variants(self, spark, streams):
+        s = streams["archie"]
+        res = run_trials(
+            spark,
+            {"archie": s},
+            algorithms=["stratified_pilot", "uniform"],
+            budgets=[400],
+            n_trials=1,
+            modes=("pred",),
+            params={"seg_len": 2500, "alpha": 0.5},
+        ).toPandas()
+        for algo, seg_len, extra in (
+            ("stratified_pilot", 2500, {"alpha": 0.5}),
+            ("uniform", _SEG, {}),
+        ):
+            rows = res[(res.algo == algo) & (res.segment >= 0)].sort_values("segment")
+            want = ALGORITHMS[algo](
+                s.statistic, s.pred, s.proxy, seg_len=seg_len, total_budget=400, seed=0, **extra
+            )
+            truth = segment_truths(dataclasses.replace(s, seg_len=seg_len), predicate=True)
+            assert np.array_equal(rows["estimate"].to_numpy(), want["seg_estimates"])
+            assert np.array_equal(rows["truth"].to_numpy(), truth)
